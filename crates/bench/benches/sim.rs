@@ -65,7 +65,8 @@ fn main() {
             .filter(|b| b.info.name == "bezier-surface")
             .collect();
         h.bench("sweep/fast/bezier-surface", || {
-            uu_harness::run_sweep(&bezier, true)
+            let jobs = uu_par::num_jobs();
+            uu_harness::run_sweep_backed(&bezier, true, jobs, None, Default::default())
         });
     }
 

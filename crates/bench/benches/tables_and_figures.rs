@@ -28,6 +28,8 @@ fn table1(h: &mut Harness) {
             Transform::UuHeuristic(HeuristicOptions::default()),
             LoopFilter::All,
             None,
+            None,
+            None,
         )
         .unwrap()
     });
@@ -49,6 +51,8 @@ fn fig6(h: &mut Harness) {
                     func: "xs_lookup".into(),
                     loop_id: 0,
                 },
+                None,
+                None,
                 None,
             )
             .unwrap()
@@ -80,6 +84,8 @@ fn fig7(h: &mut Harness) {
                     loop_id: 0,
                 },
                 None,
+                None,
+                None,
             )
             .unwrap()
         });
@@ -102,9 +108,11 @@ fn fig8(h: &mut Harness) {
             },
             f.clone(),
             None,
+            None,
+            None,
         )
         .unwrap();
-        let un = measure(&b, Transform::Unroll { factor: 4 }, f, None).unwrap();
+        let un = measure(&b, Transform::Unroll { factor: 4 }, f, None, None, None).unwrap();
         (uu.time_ms, un.time_ms)
     });
 }
@@ -123,6 +131,8 @@ fn indepth(h: &mut Harness) {
                 func: "complex_pow".into(),
                 loop_id: 0,
             },
+            None,
+            None,
             None,
         )
         .unwrap();

@@ -82,8 +82,6 @@ pub use pipeline::{
     compile, fingerprint_of, pipeline_fingerprint, CompileOutcome, LoopFilter, PassPosition,
     PipelineOptions, Transform, PASS_VERSIONS, PIPELINE_SCHEMA_VERSION, WORK_PER_MS,
 };
-pub use recover::{
-    parse_at_seed, FailureReason, FaultKind, FaultPlan, PassFailure, PassInvocation, Rung,
-};
+pub use recover::{FailureReason, FaultKind, FaultPlan, PassFailure, PassInvocation, Rung};
 pub use unmerge::{UnmergeMode, UnmergeOptions};
 pub use uu::{uu_loop, UuOptions};

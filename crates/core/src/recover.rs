@@ -144,14 +144,12 @@ impl FaultPlan {
 
 /// Parse the `<index>[:<seed>]` tail of a fault spec: a decimal u64
 /// index, optionally followed by `:` and a u64 seed (decimal or 0x-hex,
-/// defaulting to 0). Shared by [`FaultPlan::parse`] and the service-level
-/// fault grammar in `uu-serve` (`UU_SERVE_FAULT`), so the two spec
-/// languages cannot drift apart.
+/// defaulting to 0).
 ///
 /// # Errors
 ///
 /// Returns a description of the malformed component.
-pub fn parse_at_seed(rest: &str) -> Result<(u64, u64), String> {
+fn parse_at_seed(rest: &str) -> Result<(u64, u64), String> {
     let (at_s, seed_s) = match rest.split_once(':') {
         Some((a, b)) => (a, Some(b)),
         None => (rest, None),

@@ -3,8 +3,10 @@
 //! (kernel time, binary size, compile time) plus hardware counters.
 
 use std::time::Duration;
-use uu_core::{compile, FaultKind, FaultPlan, LoopFilter, PipelineOptions, Rung, Transform};
+use uu_core::{FaultKind, FaultPlan, LoopFilter, PipelineOptions, Rung, Transform};
+use uu_ir::Module;
 use uu_kernels::Benchmark;
+use uu_serve::{CompileCache, CompileMeta, RunRecord};
 use uu_simt::{ExecError, Gpu, Metrics};
 
 /// One compiled-and-executed measurement.
@@ -39,6 +41,34 @@ impl Measurement {
     /// optimization rung).
     pub fn is_clean(&self) -> bool {
         self.rung == Rung::Full && self.diag.is_empty()
+    }
+
+    /// The one place a measurement is assembled: the compile half from
+    /// `meta` (a fresh compile's, or a cached artifact's), the run half
+    /// from `run` (a simulation's, a cached run record's, or — for
+    /// skip-run points — the baseline's).
+    fn new(meta: CompileMeta, run: RunRecord) -> Measurement {
+        Measurement {
+            time_ms: run.time_ms,
+            code_size: meta.code_size,
+            compile_ms: meta.work as f64 / uu_core::WORK_PER_MS,
+            checksum: run.checksum,
+            timed_out: meta.timed_out,
+            metrics: run.metrics,
+            transfer_ms: run.transfer_ms,
+            rung: meta.rung,
+            diag: meta.diag,
+        }
+    }
+
+    /// The run half of this measurement, as a cache run record.
+    fn run_record(&self) -> RunRecord {
+        RunRecord {
+            time_ms: self.time_ms,
+            checksum: self.checksum,
+            transfer_ms: self.transfer_ms,
+            metrics: self.metrics,
+        }
     }
 }
 
@@ -108,8 +138,17 @@ impl std::fmt::Display for MeasureError {
 /// `skip_run` is set (used for cold loops, whose kernel time provably equals
 /// the baseline's because the workload never launches them).
 ///
-/// Reads `UU_FAULT` for a deterministic fault-injection plan; use
-/// [`measure_with`] to pass one explicitly (tests do).
+/// `fault` is a deterministic fault-injection plan: pass/verifier/budget
+/// faults go to the pipeline; [`FaultKind::Mem`] arms the simulated GPU's
+/// one-shot memory-fault countdown (`fault.at` counts accesses) instead.
+///
+/// With `cache: None` everything is compiled and run from scratch. With a
+/// cache, the compile half is served from compile artifacts and — for
+/// executed (hot) points — the whole measurement is served from run
+/// artifacts, so a warm sweep skips both the pipeline and the simulator.
+/// Every cached field round-trips exactly (f64s as bit patterns), so
+/// cached and cacheless measurements are identical, not merely close.
+/// Faulted simulator runs ([`MeasureError`]) are never cached.
 ///
 /// # Errors
 ///
@@ -121,25 +160,71 @@ pub fn measure(
     transform: Transform,
     filter: LoopFilter,
     skip_run: Option<&Measurement>,
-) -> Result<Measurement, MeasureError> {
-    measure_with(bench, transform, filter, skip_run, FaultPlan::from_env())
-}
-
-/// [`measure`] with an explicit fault plan. Pass/verifier/budget faults go
-/// to the pipeline; [`FaultKind::Mem`] arms the simulated GPU's one-shot
-/// memory-fault countdown (`fault.at` counts accesses) instead.
-///
-/// # Errors
-///
-/// See [`measure`].
-pub fn measure_with(
-    bench: &Benchmark,
-    transform: Transform,
-    filter: LoopFilter,
-    skip_run: Option<&Measurement>,
     fault: Option<FaultPlan>,
+    cache: Option<&CompileCache>,
 ) -> Result<Measurement, MeasureError> {
-    measure_cached(bench, transform, filter, skip_run, fault, None)
+    let mut m = (bench.build)();
+    let opts = PipelineOptions {
+        transform,
+        filter,
+        timeout: Some(COMPILE_TIMEOUT),
+        fault: fault.filter(|p| p.kind != FaultKind::Mem),
+        ..Default::default()
+    };
+    let compile = |m: &mut Module, want_module: bool| match cache {
+        Some(c) => c.compile(m, &opts, want_module).meta,
+        None => {
+            let outcome = uu_core::compile(m, &opts);
+            debug_assert!(outcome.verify_error.is_none(), "guarded compile must emit valid IR");
+            CompileMeta::of(&outcome, m)
+        }
+    };
+
+    if let Some(base) = skip_run {
+        // Skip-run points only consume compile metadata — no need to
+        // materialize the optimized module on a cache hit.
+        return Ok(Measurement::new(compile(&mut m, false), base.run_record()));
+    }
+
+    let run_key = cache.map(|c| {
+        let key = CompileCache::run_key(
+            CompileCache::compile_key(&m, &opts),
+            &workload_tag(bench, fault.as_ref()),
+        );
+        (c, key)
+    });
+    if let Some((c, key)) = run_key {
+        if let Some((meta, run)) = c.lookup_run(key) {
+            return Ok(Measurement::new(meta, run));
+        }
+    }
+
+    let meta = compile(&mut m, true);
+    let mut gpu = Gpu::new();
+    if let Some(p) = fault.filter(|p| p.kind == FaultKind::Mem) {
+        gpu.mem.inject_fault_after(p.at);
+    }
+    let run = (bench.run)(&m, &mut gpu).map_err(|exec| MeasureError {
+        exec,
+        rung: meta.rung,
+        failures: meta.diag.clone(),
+        compile_ms: meta.work as f64 / uu_core::WORK_PER_MS,
+        code_size: meta.code_size,
+        timed_out: meta.timed_out,
+    })?;
+    // The application launches its kernels `launch_repeats` times; the
+    // workload simulates one representative launch (counters stay
+    // per-launch; ratios are unaffected).
+    let record = RunRecord {
+        time_ms: run.kernel_time_ms * bench.info.launch_repeats.max(1) as f64,
+        checksum: run.checksum,
+        transfer_ms: run.transfer_ms(),
+        metrics: run.metrics,
+    };
+    if let Some((c, key)) = run_key {
+        c.store_run(key, &meta, &record);
+    }
+    Ok(Measurement::new(meta, record))
 }
 
 /// The *run*-side cache-key tag: everything outside the module + pipeline
@@ -160,350 +245,31 @@ fn workload_tag(bench: &Benchmark, fault: Option<&FaultPlan>) -> String {
     )
 }
 
-/// Where a point's compile half comes from: an optional in-process
-/// content-addressed cache, an optional compile daemon, or (both `None`)
-/// the plain local pipeline. Copyable so the sweep can hand one to every
-/// task without lifetime gymnastics.
-///
-/// The three sources are interchangeable by construction — the daemon
-/// builds the exact [`PipelineOptions`] the harness does, the cache
-/// round-trips every field losslessly — so the backend only ever changes
-/// wall time, never report bytes.
+/// Where a sweep or study takes its compiles from: an optional in-process
+/// content-addressed cache, or (`None`) the plain local pipeline. Cached
+/// and cacheless measurements are identical by construction, so the
+/// backend only ever changes wall time, never report bytes.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Backend<'a> {
     /// Shared content-addressed artifact cache (compile + run artifacts).
-    pub cache: Option<&'a uu_serve::CompileCache>,
-    /// Compile daemon handle; compiles with a nameable config are shipped
-    /// to it, anything it cannot serve falls back to the local pipeline.
-    pub remote: Option<&'a uu_serve::Remote>,
+    pub cache: Option<&'a CompileCache>,
 }
 
 impl<'a> Backend<'a> {
-    /// A purely local backend (optional cache, no daemon).
-    pub fn local(cache: Option<&'a uu_serve::CompileCache>) -> Backend<'a> {
-        Backend {
-            cache,
-            remote: None,
-        }
+    /// A backend over an optional cache.
+    pub fn local(cache: Option<&'a CompileCache>) -> Backend<'a> {
+        Backend { cache }
     }
 }
 
-/// [`measure_with`] through an optional content-addressed cache.
-///
-/// With `cache: None` this *is* the uncached path. With a cache, the
-/// compile half is served from compile artifacts and — for executed
-/// (hot) points — the whole measurement is served from run artifacts, so
-/// a warm sweep skips both the pipeline and the simulator. Every cached
-/// field round-trips exactly (f64s as bit patterns), so cached and
-/// cacheless measurements are identical, not merely close. Faulted
-/// simulator runs ([`MeasureError`]) are never cached.
-///
-/// # Errors
-///
-/// See [`measure`].
-pub fn measure_cached(
-    bench: &Benchmark,
-    transform: Transform,
-    filter: LoopFilter,
-    skip_run: Option<&Measurement>,
-    fault: Option<FaultPlan>,
-    cache: Option<&uu_serve::CompileCache>,
-) -> Result<Measurement, MeasureError> {
-    measure_backed(bench, transform, filter, skip_run, fault, Backend::local(cache))
-}
-
-/// [`measure_cached`] through a [`Backend`]: local cache, compile daemon,
-/// or both. Daemon compiles that fail for any reason — no nameable
-/// config, daemon unreachable, retry budget exhausted, quarantined
-/// module — fall back to the local path, so a flaky or saturated daemon
-/// degrades batch throughput, never batch output.
-///
-/// # Errors
-///
-/// See [`measure`].
-pub fn measure_backed(
-    bench: &Benchmark,
-    transform: Transform,
-    filter: LoopFilter,
-    skip_run: Option<&Measurement>,
-    fault: Option<FaultPlan>,
-    backend: Backend<'_>,
-) -> Result<Measurement, MeasureError> {
-    let mut m = (bench.build)();
-    let opts = PipelineOptions {
-        transform,
-        filter,
-        timeout: Some(COMPILE_TIMEOUT),
-        fault: fault.clone().filter(|p| p.kind != FaultKind::Mem),
-        ..Default::default()
-    };
-
-    if let Some(remote) = backend.remote {
-        if let Some(res) =
-            measure_through_remote(bench, &m, &opts, skip_run, fault.clone(), backend, remote)
-        {
-            return res;
-        }
-    }
-
-    if let Some(cache) = backend.cache {
-        return measure_through_cache(bench, &mut m, &opts, skip_run, fault, cache);
-    }
-
-    let outcome = compile(&mut m, &opts);
-    debug_assert!(outcome.verify_error.is_none(), "guarded compile must emit valid IR");
-    let code_size = uu_analysis::cost::module_size(&m);
-    let compile_ms = outcome.work as f64 / uu_core::WORK_PER_MS;
-    let failures = outcome.failure_summary();
-    if let Some(base) = skip_run {
-        return Ok(Measurement {
-            time_ms: base.time_ms,
-            code_size,
-            compile_ms,
-            checksum: base.checksum,
-            timed_out: outcome.timed_out,
-            metrics: base.metrics,
-            transfer_ms: base.transfer_ms,
-            rung: outcome.rung,
-            diag: failures,
-        });
-    }
-    let mut gpu = Gpu::new();
-    if let Some(p) = fault.filter(|p| p.kind == FaultKind::Mem) {
-        gpu.mem.inject_fault_after(p.at);
-    }
-    let run = (bench.run)(&m, &mut gpu).map_err(|exec| MeasureError {
-        exec,
-        rung: outcome.rung,
-        failures: failures.clone(),
-        compile_ms,
-        code_size,
-        timed_out: outcome.timed_out,
-    })?;
-    // The application launches its kernels `launch_repeats` times; the
-    // workload simulates one representative launch (counters stay
-    // per-launch; ratios are unaffected).
-    let repeats = bench.info.launch_repeats.max(1) as f64;
-    Ok(Measurement {
-        time_ms: run.kernel_time_ms * repeats,
-        code_size,
-        compile_ms,
-        checksum: run.checksum,
-        timed_out: outcome.timed_out,
-        metrics: run.metrics,
-        transfer_ms: run.transfer_ms(),
-        rung: outcome.rung,
-        diag: failures,
-    })
-}
-
-/// The cache-aware measurement path: compile artifacts cover every point;
-/// run artifacts additionally cover executed points.
-fn measure_through_cache(
-    bench: &Benchmark,
-    m: &mut uu_ir::Module,
-    opts: &PipelineOptions,
-    skip_run: Option<&Measurement>,
-    fault: Option<FaultPlan>,
-    cache: &uu_serve::CompileCache,
-) -> Result<Measurement, MeasureError> {
-    use uu_serve::CompileCache;
-
-    if let Some(base) = skip_run {
-        // Skip-run points only consume compile metadata — no need to
-        // materialize the optimized module on a hit.
-        let c = cache.compile(m, opts, false);
-        return Ok(Measurement {
-            time_ms: base.time_ms,
-            code_size: c.meta.code_size,
-            compile_ms: c.meta.work as f64 / uu_core::WORK_PER_MS,
-            checksum: base.checksum,
-            timed_out: c.meta.timed_out,
-            metrics: base.metrics,
-            transfer_ms: base.transfer_ms,
-            rung: c.meta.rung,
-            diag: c.meta.diag,
-        });
-    }
-
-    let run_key = CompileCache::run_key(
-        CompileCache::compile_key(m, opts),
-        &workload_tag(bench, fault.as_ref()),
-    );
-    if let Some((meta, run)) = cache.lookup_run(run_key) {
-        return Ok(Measurement {
-            time_ms: run.time_ms,
-            code_size: meta.code_size,
-            compile_ms: meta.work as f64 / uu_core::WORK_PER_MS,
-            checksum: run.checksum,
-            timed_out: meta.timed_out,
-            metrics: run.metrics,
-            transfer_ms: run.transfer_ms,
-            rung: meta.rung,
-            diag: meta.diag,
-        });
-    }
-
-    let c = cache.compile(m, opts, true);
-    let mut gpu = Gpu::new();
-    if let Some(p) = fault.filter(|p| p.kind == FaultKind::Mem) {
-        gpu.mem.inject_fault_after(p.at);
-    }
-    let compile_ms = c.meta.work as f64 / uu_core::WORK_PER_MS;
-    let run = (bench.run)(m, &mut gpu).map_err(|exec| MeasureError {
-        exec,
-        rung: c.meta.rung,
-        failures: c.meta.diag.clone(),
-        compile_ms,
-        code_size: c.meta.code_size,
-        timed_out: c.meta.timed_out,
-    })?;
-    let repeats = bench.info.launch_repeats.max(1) as f64;
-    let record = uu_serve::RunRecord {
-        time_ms: run.kernel_time_ms * repeats,
-        checksum: run.checksum,
-        transfer_ms: run.transfer_ms(),
-        metrics: run.metrics,
-    };
-    cache.store_run(run_key, &c.meta, &record);
-    Ok(Measurement {
-        time_ms: record.time_ms,
-        code_size: c.meta.code_size,
-        compile_ms,
-        checksum: record.checksum,
-        timed_out: c.meta.timed_out,
-        metrics: record.metrics,
-        transfer_ms: record.transfer_ms,
-        rung: c.meta.rung,
-        diag: c.meta.diag,
-    })
-}
-
-/// The daemon-backed measurement path. `None` means "this point cannot
-/// (or should not) go through the daemon — use the local path": the
-/// transform has no config name, the module text the daemon returned does
-/// not parse, or the request failed outright. `Some(res)` is a complete
-/// measurement built from the daemon's compile metadata — identical to a
-/// local compile's by the remote/local parity contract (the daemon builds
-/// the same [`PipelineOptions`] from the headers, and diag/rung/work
-/// round-trip losslessly through the response).
-fn measure_through_remote(
-    bench: &Benchmark,
-    m: &uu_ir::Module,
-    opts: &PipelineOptions,
-    skip_run: Option<&Measurement>,
-    fault: Option<FaultPlan>,
-    backend: Backend<'_>,
-    remote: &uu_serve::Remote,
-) -> Option<Result<Measurement, MeasureError>> {
-    use uu_serve::CompileCache;
-
-    let config = uu_serve::config_name(&opts.transform)?;
-
-    // A local run artifact still beats a network round trip: warm
-    // regenerations skip the daemon entirely for executed points.
-    let run_key = backend.cache.map(|_| {
-        CompileCache::run_key(
-            CompileCache::compile_key(m, opts),
-            &workload_tag(bench, fault.as_ref()),
-        )
-    });
-    if skip_run.is_none() {
-        if let (Some(cache), Some(rk)) = (backend.cache, run_key) {
-            if let Some((meta, run)) = cache.lookup_run(rk) {
-                return Some(Ok(Measurement {
-                    time_ms: run.time_ms,
-                    code_size: meta.code_size,
-                    compile_ms: meta.work as f64 / uu_core::WORK_PER_MS,
-                    checksum: run.checksum,
-                    timed_out: meta.timed_out,
-                    metrics: run.metrics,
-                    transfer_ms: run.transfer_ms,
-                    rung: meta.rung,
-                    diag: meta.diag,
-                }));
-            }
-        }
-    }
-
-    let filter = match &opts.filter {
-        LoopFilter::All => None,
-        LoopFilter::Only { func, loop_id } => Some((func.as_str(), *loop_id)),
-    };
-    let fault_spec = opts.fault.as_ref().map(uu_core::FaultPlan::spec);
-    let want_module = skip_run.is_none();
-    let rc = remote
-        .compile(&m.to_string(), &config, filter, fault_spec.as_deref(), want_module)
-        .ok()?;
-    let compile_ms = rc.meta.work as f64 / uu_core::WORK_PER_MS;
-
-    if let Some(base) = skip_run {
-        // Cold points only consume compile metadata; the kernel provably
-        // never launches, so the run half is the baseline's.
-        return Some(Ok(Measurement {
-            time_ms: base.time_ms,
-            code_size: rc.meta.code_size,
-            compile_ms,
-            checksum: base.checksum,
-            timed_out: rc.meta.timed_out,
-            metrics: base.metrics,
-            transfer_ms: base.transfer_ms,
-            rung: rc.meta.rung,
-            diag: rc.meta.diag,
-        }));
-    }
-
-    // Hot point: simulate the daemon-optimized module locally. Printed IR
-    // round-trips exactly (module_hash is print-stable), so this is the
-    // same simulation a local compile would have run.
-    let optimized = uu_ir::parse_module(rc.module_text.as_deref()?).ok()?;
-    let mut gpu = Gpu::new();
-    if let Some(p) = fault.filter(|p| p.kind == FaultKind::Mem) {
-        gpu.mem.inject_fault_after(p.at);
-    }
-    let run = match (bench.run)(&optimized, &mut gpu) {
-        Ok(run) => run,
-        Err(exec) => {
-            return Some(Err(MeasureError {
-                exec,
-                rung: rc.meta.rung,
-                failures: rc.meta.diag.clone(),
-                compile_ms,
-                code_size: rc.meta.code_size,
-                timed_out: rc.meta.timed_out,
-            }))
-        }
-    };
-    let repeats = bench.info.launch_repeats.max(1) as f64;
-    let record = uu_serve::RunRecord {
-        time_ms: run.kernel_time_ms * repeats,
-        checksum: run.checksum,
-        transfer_ms: run.transfer_ms(),
-        metrics: run.metrics,
-    };
-    if let (Some(cache), Some(rk)) = (backend.cache, run_key) {
-        cache.store_run(rk, &rc.meta, &record);
-    }
-    Some(Ok(Measurement {
-        time_ms: record.time_ms,
-        code_size: rc.meta.code_size,
-        compile_ms,
-        checksum: record.checksum,
-        timed_out: rc.meta.timed_out,
-        metrics: record.metrics,
-        transfer_ms: record.transfer_ms,
-        rung: rc.meta.rung,
-        diag: rc.meta.diag,
-    }))
-}
-
-/// Measure the baseline configuration of a benchmark.
+/// Measure the baseline configuration of a benchmark, uncached, under
+/// the process's `UU_FAULT` plan.
 ///
 /// # Errors
 ///
 /// See [`measure`].
 pub fn measure_baseline(bench: &Benchmark) -> Result<Measurement, MeasureError> {
-    measure(bench, Transform::Baseline, LoopFilter::All, None)
+    measure(bench, Transform::Baseline, LoopFilter::All, None, FaultPlan::from_env(), None)
 }
 
 /// One unit of per-loop sweep work: apply `transform` to exactly
@@ -513,7 +279,7 @@ pub fn measure_baseline(bench: &Benchmark) -> Result<Measurement, MeasureError> 
 /// GPU — so a batch of them is safe to fan out across a `uu-par` pool; the
 /// sweep driver does exactly that.
 #[derive(Debug, Clone)]
-pub struct PointTask<'a> {
+pub(crate) struct PointTask<'a> {
     /// The benchmark to compile and run.
     pub bench: &'a Benchmark,
     /// Its baseline measurement (skip-run source for cold loops, reference
@@ -533,10 +299,7 @@ pub struct PointTask<'a> {
     /// Shared content-addressed artifact cache; `None` compiles and runs
     /// everything from scratch. Cached and cacheless measurements are
     /// identical by construction, so this only changes wall time.
-    pub cache: Option<&'a uu_serve::CompileCache>,
-    /// Optional compile daemon; like the cache, it changes wall time
-    /// only — any point the daemon cannot serve compiles locally.
-    pub remote: Option<&'a uu_serve::Remote>,
+    pub cache: Option<&'a CompileCache>,
 }
 
 impl PointTask<'_> {
@@ -559,16 +322,13 @@ impl PointTask<'_> {
             loop_id: self.loop_ref.loop_id,
         };
         let skip = if self.hot { None } else { Some(self.base) };
-        let mut m = match measure_backed(
+        let mut m = match measure(
             self.bench,
             self.transform.clone(),
             filter,
             skip,
             self.fault,
-            Backend {
-                cache: self.cache,
-                remote: self.remote,
-            },
+            self.cache,
         ) {
             Ok(m) => m,
             Err(e) => {
@@ -686,6 +446,8 @@ mod tests {
                 loop_id: 0,
             },
             None,
+            None,
+            None,
         )
         .unwrap();
         assert_equivalent(&base, &got, "uu2 bezier");
@@ -719,6 +481,8 @@ mod tests {
                 loop_id: 0,
             },
             None,
+            None,
+            None,
         )
         .unwrap();
         let ratio = base.time_ms / uu.time_ms;
@@ -740,6 +504,8 @@ mod tests {
                 loop_id: 0,
             },
             Some(&base),
+            None,
+            None,
         )
         .unwrap();
         assert_eq!(got.time_ms, base.time_ms);

@@ -4,7 +4,7 @@
 use crate::experiment::{equivalence_diag, measure, measure_baseline, Measurement};
 use crate::report::{ascii_table, write_text};
 use std::path::Path;
-use uu_core::{LoopFilter, Transform, UnmergeOptions};
+use uu_core::{FaultPlan, LoopFilter, Transform, UnmergeOptions};
 use uu_kernels::{all_benchmarks, Benchmark};
 
 /// One counter-comparison case.
@@ -59,6 +59,8 @@ pub fn collect() -> Vec<CounterCase> {
                 func: (*func).to_string(),
                 loop_id: 0,
             },
+            None,
+            FaultPlan::from_env(),
             None,
         ) {
             Ok(m) => m,
@@ -157,6 +159,8 @@ mod tests {
                 func: "xs_lookup".into(),
                 loop_id: 0,
             },
+            None,
+            None,
             None,
         )
         .unwrap();

@@ -1,28 +1,16 @@
 //! Command-line entry point: `uu-harness <command> [--fast] [--out DIR]`.
 //!
 //! Batch commands (`all`, `table1`, `fig6`–`fig9`, `table2`, `study`,
-//! `indepth`, `decisions`, `dump`) regenerate the paper's reports. The
-//! service commands turn the same pipeline into a long-running daemon:
-//!
-//! * `serve --socket PATH` (or `--stdio`) — compile-service daemon
-//!   answering framed requests (see `uu-serve`);
-//! * `client --socket PATH [--config C] [--fault SPEC] [--verb V]
-//!   [--timeout-ms N] [--no-retry]` — one request against a running
-//!   daemon, using `--bench NAME`'s module (or a module read from
-//!   stdin). Requests retry `busy` and transient failures with capped
-//!   exponential backoff unless `--no-retry` is given; verbs include the
-//!   service-health set (`ping`, `health`, `ready`, `stats`,
-//!   `shutdown`).
+//! `indepth`, `decisions`, `dump`) regenerate the paper's reports.
+//! `--bench NAME` restricts a run to one application; report commands
+//! then require `--out`, so a partial run never overwrites `results/`.
 //!
 //! Batch commands honour the artifact-cache environment knobs:
 //! `UU_CACHE_DIR=<dir>` enables the persistent content-addressed cache,
-//! `UU_CACHE=mem` an in-process one — and `UU_SERVE_SOCKET=<path>` ships
-//! every nameable compile to a running daemon (sharing its cross-process
-//! cache), falling back to local compiles whenever the daemon can't
-//! serve a point. All three leave every report byte-identical to a
-//! cacheless run.
+//! `UU_CACHE=mem` an in-process one. Both leave every report
+//! byte-identical to a cacheless run.
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use uu_harness::{figures, indepth, study, sweep};
 use uu_kernels::all_benchmarks;
 
@@ -35,20 +23,11 @@ fn main() {
             .and_then(|i| args.get(i + 1))
             .cloned()
     };
-    let out = flag("--out").map(PathBuf::from).unwrap_or_else(|| PathBuf::from("results"));
+    let out_flag = flag("--out");
+    let out = PathBuf::from(out_flag.as_deref().unwrap_or("results"));
     let only: Option<String> = flag("--bench");
-    let flag_values: Vec<String> = [
-        "--out",
-        "--bench",
-        "--config",
-        "--socket",
-        "--fault",
-        "--verb",
-        "--timeout-ms",
-    ]
-    .iter()
-    .filter_map(|f| flag(f))
-    .collect();
+    let flag_values: Vec<String> =
+        ["--out", "--bench", "--config"].iter().filter_map(|f| flag(f)).collect();
     let cmd = args
         .iter()
         .find(|a| !a.starts_with("--") && !flag_values.contains(a))
@@ -64,21 +43,29 @@ fn main() {
         std::process::exit(2);
     }
 
+    const SWEEP_CMDS: [&str; 10] = [
+        "table1", "fig6a", "fig6b", "fig6c", "fig6", "fig7", "fig8a", "fig8b", "fig8", "all",
+    ];
+    const STUDY_CMDS: [&str; 3] = ["study", "fig9", "table2"];
+    let writes_reports = SWEEP_CMDS.contains(&cmd) || STUDY_CMDS.contains(&cmd);
+    if writes_reports && only.is_some() && out_flag.is_none() {
+        eprintln!(
+            "`{cmd} --bench` writes a partial report; pass --out DIR so it cannot \
+             overwrite {}",
+            out.display()
+        );
+        std::process::exit(2);
+    }
+
     match cmd {
-        "table1" | "fig6a" | "fig6b" | "fig6c" | "fig6" | "fig7" | "fig8a" | "fig8b"
-        | "fig8" | "all" => {
+        c if SWEEP_CMDS.contains(&c) => {
             let cache = uu_serve::CompileCache::from_env();
-            let remote = uu_serve::Remote::from_env();
-            let backend = uu_harness::Backend {
-                cache: cache.as_ref(),
-                remote: remote.as_ref(),
-            };
+            let backend = uu_harness::Backend::local(cache.as_ref());
             eprintln!(
-                "running sweep over {} benchmark(s){}{}{} ...",
+                "running sweep over {} benchmark(s){}{} ...",
                 benches.len(),
                 if fast { " (fast)" } else { "" },
                 if cache.is_some() { " [cached]" } else { "" },
-                if remote.is_some() { " [daemon]" } else { "" }
             );
             let fault = uu_core::FaultPlan::from_env();
             let jobs = uu_par::num_jobs();
@@ -124,11 +111,10 @@ fn main() {
                 }
             }
         }
-        "study" | "fig9" | "table2" => {
+        c if STUDY_CMDS.contains(&c) => {
             // The three-way unmerge/meld study (hot loops only; identical
             // in fast and full runs, byte-identical at any UU_JOBS).
             let cache = uu_serve::CompileCache::from_env();
-            let remote = uu_serve::Remote::from_env();
             eprintln!(
                 "running three-way unmerge/meld study over {} benchmark(s)...",
                 benches.len()
@@ -137,10 +123,7 @@ fn main() {
                 &benches,
                 uu_par::num_jobs(),
                 uu_core::FaultPlan::from_env(),
-                uu_harness::Backend {
-                    cache: cache.as_ref(),
-                    remote: remote.as_ref(),
-                },
+                uu_harness::Backend::local(cache.as_ref()),
             );
             let emitted = (|| -> std::io::Result<()> {
                 figures::fig9(&st, &out)?;
@@ -164,106 +147,6 @@ fn main() {
             }
             if let Ok(t) = std::fs::read_to_string(out.join("indepth.txt")) {
                 println!("{t}");
-            }
-        }
-        "serve" => {
-            // Long-running compile service. The cache honours the same env
-            // knobs as the batch commands; without one, it runs an
-            // in-memory cache (a daemon without a cache would re-do every
-            // repeat compile).
-            let cache = uu_serve::CompileCache::from_env()
-                .unwrap_or_else(uu_serve::CompileCache::new_mem);
-            let r = if args.iter().any(|a| a == "--stdio") {
-                eprintln!("uu-serve: serving on stdio");
-                uu_serve::serve_stdio(&cache)
-            } else {
-                let sock = flag("--socket").unwrap_or_else(|| "uu-serve.sock".to_string());
-                eprintln!("uu-serve: serving on {sock}");
-                uu_serve::serve_unix(Path::new(&sock), &cache)
-            };
-            let stats = cache.stats();
-            eprintln!(
-                "uu-serve: exiting; {} hits / {} misses ({:.1}% hit rate)",
-                stats.hits(),
-                stats.misses(),
-                stats.hit_rate() * 100.0
-            );
-            if let Err(e) = r {
-                eprintln!("uu-serve: {e}");
-                std::process::exit(1);
-            }
-        }
-        "client" => {
-            let sock = flag("--socket").unwrap_or_else(|| "uu-serve.sock".to_string());
-            let verb = flag("--verb").unwrap_or_else(|| "compile".to_string());
-            let req = match verb.as_str() {
-                "compile" => {
-                    let config = flag("--config").unwrap_or_else(|| "uu4".to_string());
-                    // `--bench NAME` sends that benchmark's module; with the
-                    // default filter (all benches), read the module from stdin.
-                    let module_text = if only.is_some() {
-                        (benches[0].build)().to_string()
-                    } else {
-                        let mut s = String::new();
-                        use std::io::Read as _;
-                        if std::io::stdin().read_to_string(&mut s).is_err() || s.is_empty() {
-                            eprintln!("client: pass --bench NAME or pipe a module on stdin");
-                            std::process::exit(2);
-                        }
-                        s
-                    };
-                    let mut req = uu_serve::Message::new("compile")
-                        .header("config", &config)
-                        .with_body(module_text);
-                    if let Some(fault) = flag("--fault") {
-                        req = req.header("fault", fault);
-                    }
-                    if let Some(t) = flag("--timeout-ms") {
-                        req = req.header("timeout-ms", t);
-                    }
-                    if !args.iter().any(|a| a == "--print-ir") {
-                        req = req.header("want-module", 0);
-                    }
-                    req
-                }
-                v @ ("stats" | "ping" | "health" | "ready" | "shutdown") => {
-                    uu_serve::Message::new(v)
-                }
-                other => {
-                    eprintln!(
-                        "client: unknown --verb `{other}` \
-                         (compile|stats|ping|health|ready|shutdown)"
-                    );
-                    std::process::exit(2);
-                }
-            };
-            // Busy shedding and injected transport faults are retried with
-            // deterministic capped backoff; --no-retry sends exactly one
-            // attempt (probing a saturated daemon's `busy` response).
-            let remote = if args.iter().any(|a| a == "--no-retry") {
-                uu_serve::Remote::new(&sock).with_attempts(1)
-            } else {
-                uu_serve::Remote::new(&sock)
-            };
-            let resp = remote.request(&req);
-            match resp {
-                Ok(resp) => {
-                    println!("{}", resp.verb);
-                    for (k, v) in &resp.headers {
-                        println!("{k}: {v}");
-                    }
-                    if !resp.body.is_empty() {
-                        println!();
-                        print!("{}", resp.body);
-                    }
-                    if resp.verb != "ok" {
-                        std::process::exit(1);
-                    }
-                }
-                Err(e) => {
-                    eprintln!("client: {e}");
-                    std::process::exit(1);
-                }
             }
         }
         "dump" => {
@@ -333,7 +216,7 @@ fn main() {
         }
         other => {
             eprintln!(
-                "unknown command `{other}`; expected one of: all, table1, fig6[a|b|c], fig7, fig8[a|b], study, fig9, table2, indepth, decisions, dump, serve, client"
+                "unknown command `{other}`; expected one of: all, table1, fig6[a|b|c], fig7, fig8[a|b], study, fig9, table2, indepth, decisions, dump"
             );
             std::process::exit(2);
         }

@@ -21,7 +21,7 @@
 //! Rendered as `fig9` (per-point data + per-app summary) and `table2`
 //! (per-loop verdicts) by [`crate::figures`].
 
-use crate::experiment::{loop_list, measure_backed, Backend, LoopRef, PointTask};
+use crate::experiment::{loop_list, measure, Backend, LoopRef, PointTask};
 use crate::stats::median_of_20;
 use crate::sweep::{seed_for, sentinel_baseline, LoopPoint, FRONTEND_MS};
 use uu_core::{FaultPlan, LoopFilter, Transform, UnmergeOptions};
@@ -65,43 +65,12 @@ pub struct Study {
     pub points: Vec<LoopPoint>,
 }
 
-/// Run the three-way study across `UU_JOBS` workers, reading `UU_FAULT`
-/// for a fault-injection plan.
-pub fn run_study(benches: &[Benchmark]) -> Study {
-    run_study_jobs(benches, uu_par::num_jobs())
-}
-
-/// [`run_study`] with an explicit worker count.
-pub fn run_study_jobs(benches: &[Benchmark], jobs: usize) -> Study {
-    run_study_faulted(benches, jobs, FaultPlan::from_env())
-}
-
-/// [`run_study_jobs`] with an explicit fault plan (tests inject directly
-/// instead of mutating the process environment).
-pub fn run_study_faulted(
-    benches: &[Benchmark],
-    jobs: usize,
-    fault: Option<FaultPlan>,
-) -> Study {
-    run_study_cached(benches, jobs, fault, None)
-}
-
-/// [`run_study_faulted`] through an optional content-addressed artifact
-/// cache shared with the sweep: the study's `uu2`/`uu4`/`uu8` legs hit
-/// the very artifacts the sweep produced for the same loops, and warm
-/// reruns skip compile and simulation alike — with byte-identical output.
-pub fn run_study_cached(
-    benches: &[Benchmark],
-    jobs: usize,
-    fault: Option<FaultPlan>,
-    cache: Option<&uu_serve::CompileCache>,
-) -> Study {
-    run_study_backed(benches, jobs, fault, Backend::local(cache))
-}
-
-/// [`run_study_cached`] through a full [`Backend`] — cache, compile
-/// daemon, or both; see [`crate::sweep::run_sweep_backed`] for the
-/// contract (the backend changes wall time, never report bytes).
+/// Run the three-way study over `benches` on `jobs` workers, with an
+/// optional fault-injection plan, taking compiles from `backend`. With a
+/// cache shared with the sweep, the study's `uu2`/`uu4`/`uu8` legs hit
+/// the very artifacts the sweep produced for the same loops; see
+/// [`crate::sweep::run_sweep_backed`] for the contract (neither the worker
+/// count nor the backend changes report bytes).
 pub fn run_study_backed(
     benches: &[Benchmark],
     jobs: usize,
@@ -116,7 +85,7 @@ pub fn run_study_backed(
         uu_par::par_map_jobs(jobs, benches, |_, bench| {
             let app = bench.info.name;
             eprintln!("  study baseline {app}...");
-            measure_backed(bench, Transform::Baseline, LoopFilter::All, None, fault, backend)
+            measure(bench, Transform::Baseline, LoopFilter::All, None, fault, cache)
                 .unwrap_or_else(|e| sentinel_baseline(format!("{app}/baseline: {e}")))
         });
 
@@ -137,7 +106,6 @@ pub fn run_study_backed(
                     transform,
                     fault,
                     cache,
-                    remote: backend.remote,
                 });
             }
         }
@@ -256,7 +224,7 @@ mod tests {
             .into_iter()
             .filter(|b| b.info.name == "mandelbrot")
             .collect();
-        let s = run_study_jobs(&benches, 2);
+        let s = run_study_backed(&benches, 2, None, Backend::default());
         assert!(!s.points.is_empty());
         assert!(s.points.len().is_multiple_of(study_configs().len()));
         for p in &s.points {

@@ -6,8 +6,7 @@
 //! baseline median.
 
 use crate::experiment::{
-    equivalence_diag, loop_list, measure_backed, sweep_configs, Backend, LoopRef, Measurement,
-    PointTask,
+    equivalence_diag, loop_list, measure, sweep_configs, Backend, LoopRef, Measurement, PointTask,
 };
 use crate::stats::median_of_20;
 use std::collections::hash_map::DefaultHasher;
@@ -105,34 +104,6 @@ pub(crate) fn seed_for(app: &str, l: &LoopRef, config: &str) -> u64 {
     h.finish()
 }
 
-/// Run the sweep for the given benchmarks across `UU_JOBS` workers (see
-/// [`run_sweep_jobs`]).
-///
-/// `fast` restricts cold loops to three per application (hot loops are
-/// always measured) — used by tests and the benches; the real figures use
-/// the full population.
-pub fn run_sweep(benches: &[Benchmark], fast: bool) -> Sweep {
-    run_sweep_jobs(benches, fast, uu_par::num_jobs())
-}
-
-/// [`run_sweep`] with an explicit worker count. Reads `UU_FAULT` for a
-/// deterministic fault-injection plan; [`run_sweep_faulted`] takes one
-/// explicitly.
-///
-/// The product space is embarrassingly parallel and is walked in two
-/// fan-out phases: per-application baselines + heuristic runs first, then
-/// the flat (application, loop, configuration) point list. Every point is
-/// an isolated compile + simulate with its own noise-model seed
-/// ([`seed_for`] keys on the point, not on execution order), and `uu-par`
-/// merges results in input order, so the returned [`Sweep`] — and every
-/// report derived from it — is byte-identical at any worker count;
-/// `jobs = 1` runs the exact serial loop of old. Fault containment keeps
-/// this property: every degradation decision is a pure function of the
-/// point, never of scheduling.
-pub fn run_sweep_jobs(benches: &[Benchmark], fast: bool, jobs: usize) -> Sweep {
-    run_sweep_faulted(benches, fast, jobs, FaultPlan::from_env())
-}
-
 /// The baseline every other number is ratioed against must exist even when
 /// the baseline run itself faults (e.g. an injected memory fault): a
 /// sentinel with unit time keeps every downstream ratio finite and the
@@ -151,38 +122,26 @@ pub(crate) fn sentinel_baseline(diag: String) -> Measurement {
     }
 }
 
-/// [`run_sweep_jobs`] with an explicit fault-injection plan (tests inject
-/// directly instead of mutating the process environment).
-pub fn run_sweep_faulted(
-    benches: &[Benchmark],
-    fast: bool,
-    jobs: usize,
-    fault: Option<FaultPlan>,
-) -> Sweep {
-    run_sweep_cached(benches, fast, jobs, fault, None)
-}
-
-/// [`run_sweep_faulted`] through an optional content-addressed artifact
-/// cache (see [`uu_serve::CompileCache`]). Points share compiles across
-/// (kernel, loop, config) triples and a warm cache serves previously
-/// measured executions outright; cached and cacheless sweeps are
-/// byte-identical at any worker count — the cache only changes wall time.
-pub fn run_sweep_cached(
-    benches: &[Benchmark],
-    fast: bool,
-    jobs: usize,
-    fault: Option<FaultPlan>,
-    cache: Option<&uu_serve::CompileCache>,
-) -> Sweep {
-    run_sweep_backed(benches, fast, jobs, fault, Backend::local(cache))
-}
-
-/// [`run_sweep_cached`] through a full [`Backend`] — cache, compile
-/// daemon, or both. With a daemon, every nameable compile is shipped to
-/// it (sharing its cross-process artifact cache); anything the daemon
-/// cannot serve — and every simulation — runs locally. The backend is a
-/// pure wall-time lever: sweep bytes are identical across cacheless,
-/// cached, and daemon-backed runs at any worker count.
+/// Run the per-loop sweep over `benches` on `jobs` workers, with an
+/// optional fault-injection plan, taking compiles from `backend`.
+///
+/// `fast` restricts cold loops to three per application (hot loops are
+/// always measured) — used by tests and the benches; the real figures use
+/// the full population.
+///
+/// The product space is embarrassingly parallel and is walked in two
+/// fan-out phases: per-application baselines + heuristic runs first, then
+/// the flat (application, loop, configuration) point list. Every point is
+/// an isolated compile + simulate with its own noise-model seed
+/// ([`seed_for`] keys on the point, not on execution order), and `uu-par`
+/// merges results in input order, so the returned [`Sweep`] — and every
+/// report derived from it — is byte-identical at any worker count;
+/// `jobs = 1` runs the exact serial loop of old. Fault containment keeps
+/// this property: every degradation decision is a pure function of the
+/// point, never of scheduling. The backend is a pure wall-time lever too:
+/// with a cache, points share compiles across (kernel, loop, config)
+/// triples and a warm cache serves previously measured executions
+/// outright, with byte-identical output.
 pub fn run_sweep_backed(
     benches: &[Benchmark],
     fast: bool,
@@ -198,21 +157,20 @@ pub fn run_sweep_backed(
         uu_par::par_map_jobs(jobs, benches, |_, bench| {
             let app = bench.info.name.to_string();
             eprintln!("  sweeping {app} ({} loops)...", bench.info.table_loops);
-            let base =
-                measure_backed(bench, Transform::Baseline, LoopFilter::All, None, fault, backend)
-                    .unwrap_or_else(|e| sentinel_baseline(format!("{app}/baseline: {e}")));
+            let base = measure(bench, Transform::Baseline, LoopFilter::All, None, fault, cache)
+                .unwrap_or_else(|e| sentinel_baseline(format!("{app}/baseline: {e}")));
             let baseline_med = median_of_20(
                 base.time_ms,
                 bench.info.paper_rsd_pct,
                 seed_for(&app, &LoopRef { func: "baseline".into(), loop_id: 0 }, "base"),
             );
-            let mut heur = measure_backed(
+            let mut heur = measure(
                 bench,
                 Transform::UuHeuristic(HeuristicOptions::default()),
                 LoopFilter::All,
                 None,
                 fault,
-                backend,
+                cache,
             )
             .unwrap_or_else(|e| {
                 let mut h = base.clone();
@@ -278,7 +236,6 @@ pub fn run_sweep_backed(
                     transform,
                     fault,
                     cache,
-                    remote: backend.remote,
                 });
             }
         }
@@ -328,7 +285,7 @@ mod tests {
             .into_iter()
             .filter(|b| b.info.name == "bezier-surface" || b.info.name == "mandelbrot")
             .collect();
-        let sweep = run_sweep(&benches, true);
+        let sweep = run_sweep_backed(&benches, true, uu_par::num_jobs(), None, Backend::default());
         assert_eq!(sweep.apps.len(), 2);
         // 7 configs per measured loop.
         assert!(sweep.points.len().is_multiple_of(7));

@@ -1,19 +1,19 @@
 //! Print → parse fidelity for every benchmark module.
 //!
-//! The remote-compile backend ships modules to the daemon as printed IR,
-//! and the disk cache stores optimized modules the same way — so the
-//! round trip must preserve everything the optimizer can observe: SSA id
-//! numbering (pass tie-breaks are id-order-sensitive) and `restrict`
-//! qualifiers (GVN's load elimination consults them). Both were once
-//! lost in transit; rainflow's daemon-backed sweep drifted by fractions
-//! of a percent because its `__restrict__` arrays came back unqualified
-//! and its phi ids renumbered. These tests pin the fix.
+//! The disk artifact cache stores optimized modules as printed IR and
+//! parses them back on a hit, so the round trip must preserve everything
+//! the optimizer and simulator can observe: SSA id numbering (pass
+//! tie-breaks are id-order-sensitive) and `restrict` qualifiers (GVN's
+//! load elimination consults them). Both were once lost in the round
+//! trip: rainflow drifted by fractions of a percent because its
+//! `__restrict__` arrays came back unqualified and its phi ids
+//! renumbered. These tests pin the fix.
 
 use uu_core::{compile, PipelineOptions, Transform};
 
 /// Printed text must be a parse/print fixpoint for every benchmark: the
 /// parser honors printed ids (void instructions slot into the unused
-/// numbers), so nothing is renumbered in transit.
+/// numbers), so nothing is renumbered on the way through a disk artifact.
 #[test]
 fn every_benchmark_module_round_trips_to_identical_text() {
     for b in uu_kernels::all_benchmarks() {

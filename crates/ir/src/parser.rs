@@ -374,8 +374,8 @@ pub fn parse_function(text: &str) -> Result<Function, ParseError> {
     // numbering (exactly when the printed ids are gap-free, by rank
     // otherwise) matters beyond aesthetics: id order is observable by
     // optimizer tie-breaks, so a module that round-trips through text —
-    // a disk artifact, a wire body — must re-optimize exactly like the
-    // original. The remote-compile backend depends on this.
+    // such as the printed IR the disk artifact cache stores — must
+    // re-optimize exactly like the original.
     let mut taken: HashSet<u32> = HashSet::new();
     for p in &pendings {
         if let Some(t) = p.text_id {

@@ -8,8 +8,7 @@
 //! the one primitive those drivers need: a deterministic parallel map.
 //! The [`pool`] module adds the service-side complement: a closeable
 //! blocking [`TaskQueue`] and a fixed worker crew ([`run_crew`]) for
-//! workloads — like the `uu-serve` daemon's connections — that arrive
-//! over time and must drain cleanly on shutdown.
+//! workloads that arrive over time and must drain cleanly on shutdown.
 //!
 //! ## Determinism contract
 //!

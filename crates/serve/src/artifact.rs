@@ -32,6 +32,20 @@ pub struct CompileMeta {
     pub code_size: u64,
 }
 
+impl CompileMeta {
+    /// The metadata of a fresh compile: `outcome` is what
+    /// [`uu_core::compile`] returned, `m` the module it optimized.
+    pub fn of(outcome: &uu_core::CompileOutcome, m: &uu_ir::Module) -> CompileMeta {
+        CompileMeta {
+            work: outcome.work,
+            timed_out: outcome.timed_out,
+            rung: outcome.rung,
+            diag: outcome.failure_summary(),
+            code_size: uu_analysis::cost::module_size(m),
+        }
+    }
+}
+
 /// The run-side record of a measured execution (hot sweep points): the
 /// simulator outputs a warm cache can serve without re-simulating.
 #[derive(Debug, Clone, PartialEq)]
@@ -169,16 +183,15 @@ impl Artifact {
     }
 }
 
-/// Escape a string to a single line (`\n`/`\\`), losslessly. Shared by
-/// the artifact format and the wire protocol's `diag` header — both are
-/// line-oriented, and both must round-trip multi-line diagnostics
+/// Escape a string to a single line (`\n`/`\\`), losslessly: the format
+/// is line-oriented and must round-trip multi-line diagnostics
 /// byte-identically.
-pub(crate) fn escape(s: &str) -> String {
+fn escape(s: &str) -> String {
     s.replace('\\', "\\\\").replace('\n', "\\n")
 }
 
 /// Invert [`escape`]; `None` on a dangling or unknown escape.
-pub(crate) fn unescape(s: &str) -> Option<String> {
+fn unescape(s: &str) -> Option<String> {
     let mut out = String::with_capacity(s.len());
     let mut chars = s.chars();
     while let Some(c) = chars.next() {

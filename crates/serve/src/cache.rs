@@ -17,14 +17,13 @@
 //!   depends on optimized-IR text; the numbers all come from the cached
 //!   metadata and run records, which round-trip exactly).
 //!
-//! Measured runs are cached too (`run` artifacts): simulation dominates
-//! wall time for hot sweep points, so a warm sweep skips both halves.
-//! The run key extends the compile key with a workload tag supplied by
-//! the caller (bench identity, workload version, simulator engine,
-//! memory-fault plan — everything outside the module/config that can
-//! change simulator output).
+//! Measured runs are cached too (`run` artifacts). Compile is about 95%
+//! of a cold `all --fast`, and a run artifact serves a hot point without
+//! either its compile or its simulation. The run key extends the compile
+//! key with a workload tag supplied by the caller (bench identity,
+//! workload version, simulator engine, memory-fault plan — everything
+//! outside the module/config that can change simulator output).
 
-use std::cell::Cell;
 use std::collections::HashMap;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -36,19 +35,19 @@ use crate::stats::CacheStats;
 use uu_core::{FaultKind, PipelineOptions};
 use uu_ir::Module;
 
+#[cfg(test)]
 thread_local! {
-    // Armed by the service's `disk-full` fault (UU_SERVE_FAULT) for the
-    // duration of one request. Thread-local because each request is
-    // handled entirely on one worker thread: arming it cannot leak into
-    // a concurrent request on another worker.
-    static STORE_FAULT: Cell<bool> = const { Cell::new(false) };
+    // Thread-local so a test arming it cannot fail the stores of tests
+    // running concurrently on other threads.
+    static STORE_FAULT: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
-/// Arm (or disarm) the synthetic disk-full fault for cache stores on
+/// Arm (or disarm) a synthetic disk-full fault for cache stores on
 /// *this thread*: while armed, every artifact write fails as a full disk
 /// would — counted in [`CacheStats::store_errors`], degraded to "not
 /// cached", never a broken artifact.
-pub fn inject_store_fault(on: bool) {
+#[cfg(test)]
+fn inject_store_fault(on: bool) {
     STORE_FAULT.with(|f| f.set(on));
 }
 
@@ -217,14 +216,7 @@ impl CompileCache {
         // Miss: run the real pipeline and populate both layers.
         let lookup = t0.elapsed();
         let t1 = Instant::now();
-        let outcome = uu_core::compile(m, opts);
-        let meta = CompileMeta {
-            work: outcome.work,
-            timed_out: outcome.timed_out,
-            rung: outcome.rung,
-            diag: outcome.failure_summary(),
-            code_size: uu_analysis::cost::module_size(m),
-        };
+        let meta = CompileMeta::of(&uu_core::compile(m, opts), m);
         self.mem_compile
             .lock()
             .unwrap()
@@ -297,13 +289,6 @@ impl CompileCache {
         self.stats.lock().unwrap().clone()
     }
 
-    /// Mutate the stats under the lock — the hook the service layer uses
-    /// to account admission, deadline, panic, quarantine and connection
-    /// events in the same versioned structure as the cache counters.
-    pub fn stats_mut<R>(&self, f: impl FnOnce(&mut CacheStats) -> R) -> R {
-        f(&mut self.stats.lock().unwrap())
-    }
-
     fn note_compile_hit(&self, meta: &CompileMeta, mem: bool, t0: Instant) {
         let mut st = self.stats.lock().unwrap();
         if mem {
@@ -330,12 +315,13 @@ impl CompileCache {
 
     /// Best-effort atomic write; a full disk or permission error degrades
     /// to "not cached", never to a broken artifact (readers validate) —
-    /// but every such degradation is now counted in
-    /// [`CacheStats::store_errors`] instead of vanishing silently.
+    /// and every such degradation is counted in
+    /// [`CacheStats::store_errors`].
     fn store(&self, key: Key, artifact: &Artifact) {
         let Some(path) = self.path_of(key) else {
             return;
         };
+        #[cfg(test)]
         if STORE_FAULT.with(|f| f.get()) {
             self.note_store_error();
             return;

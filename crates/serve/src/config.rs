@@ -1,6 +1,6 @@
-//! Named pipeline configurations — the short strings clients (and the
-//! `dump` command) use to pick a transform: `baseline`, `unroll<k>`,
-//! `unmerge`, `uu<k>`, `uu<k>+meld`, `meld`, `heuristic`.
+//! Named pipeline configurations — the short strings the `dump` command
+//! uses to pick a transform: `baseline`, `unroll<k>`, `unmerge`, `uu<k>`,
+//! `uu<k>+meld`, `meld`, `heuristic`.
 
 use uu_core::Transform;
 
@@ -25,46 +25,6 @@ pub fn parse_config(name: &str) -> Option<Transform> {
             factor: c[2..].parse().unwrap_or(4),
             unmerge: Default::default(),
         },
-        _ => return None,
-    })
-}
-
-/// The inverse of [`parse_config`]: render a [`Transform`] back as a
-/// config name, or `None` when the transform carries tuning options the
-/// name grammar cannot express (compared by `Debug` rendering, the same
-/// canonical form the cache key uses). The remote compile backend uses
-/// this to ship a sweep point's transform to the daemon as a header.
-pub fn config_name(t: &Transform) -> Option<String> {
-    let is_default = |dbg: String, default_dbg: String| dbg == default_dbg;
-    Some(match t {
-        Transform::Baseline => "baseline".to_string(),
-        Transform::Unmerge => "unmerge".to_string(),
-        Transform::Meld => "meld".to_string(),
-        Transform::Unroll { factor } => format!("unroll{factor}"),
-        Transform::Uu { factor, unmerge }
-            if is_default(
-                format!("{unmerge:?}"),
-                format!("{:?}", uu_core::UnmergeOptions::default()),
-            ) =>
-        {
-            format!("uu{factor}")
-        }
-        Transform::UuMeld { factor, unmerge }
-            if is_default(
-                format!("{unmerge:?}"),
-                format!("{:?}", uu_core::UnmergeOptions::default()),
-            ) =>
-        {
-            format!("uu{factor}+meld")
-        }
-        Transform::UuHeuristic(h)
-            if is_default(
-                format!("{h:?}"),
-                format!("{:?}", uu_core::HeuristicOptions::default()),
-            ) =>
-        {
-            "heuristic".to_string()
-        }
         _ => return None,
     })
 }
@@ -101,24 +61,6 @@ mod tests {
         ));
         assert!(parse_config("turbo").is_none());
         assert!(parse_config("").is_none());
-    }
-
-    #[test]
-    fn config_name_round_trips_through_parse_config() {
-        // The remote backend's contract: every transform the sweep/study
-        // drivers emit must survive name → parse → name unchanged (the
-        // canonical-config Debug strings must match, since that string IS
-        // the cache key component).
-        for name in [
-            "baseline", "unmerge", "meld", "heuristic", "unroll2", "unroll4", "unroll8",
-            "uu2", "uu4", "uu8", "uu2+meld", "uu4+meld", "uu8+meld",
-        ] {
-            let t = parse_config(name).unwrap();
-            let back = config_name(&t).unwrap();
-            assert_eq!(back, name, "name must round-trip");
-            let t2 = parse_config(&back).unwrap();
-            assert_eq!(format!("{t:?}"), format!("{t2:?}"), "{name}");
-        }
     }
 
     #[test]

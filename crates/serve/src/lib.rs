@@ -1,11 +1,7 @@
-//! # uu-serve — compile-service daemon with a content-addressed cache
+//! # uu-serve — content-addressed artifact cache
 //!
-//! The workspace's "millions of users" front end: a long-running daemon
-//! that accepts IR modules + pipeline configurations over a
-//! length-prefixed framed protocol (Unix socket or stdio), compiles them
-//! through the fault-tolerant `uu-core` pipeline, and answers with
-//! optimized IR, the degradation rung and compile metrics. Every compile
-//! is backed by a **content-addressed artifact cache** keyed on
+//! Compile and run artifacts for the `uu-harness` batch commands, keyed
+//! on
 //!
 //! ```text
 //! (module hash, canonical pipeline config, pipeline-version fingerprint)
@@ -28,43 +24,26 @@
 //! path, surviving process restarts). Disk artifacts are validated on
 //! load (format version, field integrity, IR content hash); anything
 //! suspicious degrades to a cache miss and a fresh compile — the cache
-//! can make a request faster, never wronger.
+//! can make a run faster, never wronger.
 //!
-//! Batch drivers reuse the same cache in process: `uu-harness` threads a
-//! [`CompileCache`] through the sweep and the three-way study, so
-//! fig6/fig8/fig9 points share compiles across (kernel, loop, config)
-//! triples and a warm `results/` regeneration skips both the compile and
-//! the simulation of every previously measured point — byte-identically,
-//! at any `UU_JOBS`.
+//! `uu-harness` threads one [`CompileCache`] through the sweep and the
+//! three-way study, so fig6/fig8/fig9 points share compiles across
+//! (kernel, loop, config) triples and a warm `results/` regeneration
+//! skips both the compile and the simulation of every previously
+//! measured point — byte-identically, at any `UU_JOBS`.
 //!
 //! Observability follows the typed-stats idiom: [`CacheStats`] is a
 //! versioned struct with hit/miss/latency/rung counters, rendered as
-//! stable JSON (`stats` protocol verb, `BENCH_serve.json`).
+//! stable JSON (printed on stderr after a cached harness run).
 
 #![warn(missing_docs)]
 
 pub mod artifact;
-pub mod backoff;
 pub mod cache;
-pub mod client;
 pub mod config;
-pub mod fault;
-pub mod proto;
-pub mod server;
 pub mod stats;
 
 pub use artifact::{Artifact, CompileMeta, RunRecord, ARTIFACT_VERSION};
-pub use backoff::Backoff;
-pub use cache::{inject_store_fault, CachedCompile, CompileCache, Key};
-pub use client::{connect_unix, request_over, Remote, RemoteCompile};
-pub use config::{config_name, config_names, parse_config};
-pub use fault::{ServeFault, ServeFaultKind, ServeFaultPlan};
-pub use proto::{
-    read_frame, read_frame_lenient, write_frame, FrameDefect, Message, MAX_FRAME, PROTO_VERSION,
-    RESYNC_MAX,
-};
-pub use server::{
-    serve_stdio, serve_stream, serve_unix, serve_unix_with, ServeOptions, Service,
-    SERVICE_COMPILE_TIMEOUT,
-};
+pub use cache::{CachedCompile, CompileCache, Key};
+pub use config::{config_names, parse_config};
 pub use stats::{CacheStats, STATS_VERSION};

@@ -1,16 +1,14 @@
-//! Typed, versioned cache/service statistics — the observability surface
-//! of the compile service, following the workspace's versioned-stats
-//! idiom (schema version field + stable JSON rendering).
+//! Typed, versioned cache statistics, following the workspace's
+//! versioned-stats idiom (schema version field + stable JSON rendering).
 
 use uu_core::Rung;
 
 /// Stats schema version; bump on any field change so dashboards detect
-/// skew instead of misreading counters. Version 2 added the service
-/// counters (admission, deadlines, panics, quarantine, frame defects,
-/// accept/connection/store errors).
-pub const STATS_VERSION: u32 = 2;
+/// skew instead of misreading counters. Version 3 dropped the compile
+/// daemon's service counters, keeping `store_errors`.
+pub const STATS_VERSION: u32 = 3;
 
-/// Counters for one cache (and the service wrapped around it).
+/// Counters for one cache.
 ///
 /// All counts are cumulative since cache creation. "Memory" and "disk"
 /// hits are disjoint: a request served from memory never touches disk.
@@ -37,27 +35,6 @@ pub struct CacheStats {
     /// Per-rung compile outcomes, indexed by [`Rung::index`] (hits count
     /// the rung recorded in the artifact).
     pub rung_counts: [u64; 4],
-    /// Requests admitted past admission control (all verbs).
-    pub requests: u64,
-    /// Requests shed with a `busy` response because the in-flight gauge
-    /// was at its cap.
-    pub busy_shed: u64,
-    /// Compiles that hit their per-request deadline on the deterministic
-    /// work clock (answered, degraded, `timed-out: true`).
-    pub deadline_hits: u64,
-    /// Handler panics contained by the per-request guard.
-    pub handler_panics: u64,
-    /// Module hashes currently quarantined by the crash-loop breaker.
-    pub quarantined_modules: u64,
-    /// Requests rejected because their module hash was quarantined.
-    pub quarantined_rejects: u64,
-    /// Damaged frames answered with a structured error (oversized,
-    /// non-UTF-8, malformed).
-    pub frame_defects: u64,
-    /// Failed `accept` calls on the listening socket.
-    pub accept_errors: u64,
-    /// Connections that died with an I/O error mid-conversation.
-    pub conn_errors: u64,
     /// Cache artifact writes that failed (disk full, permissions) and
     /// degraded to "not cached".
     pub store_errors: u64,
@@ -111,15 +88,6 @@ impl CacheStats {
                 "  \"work_saved\": {},\n",
                 "  \"lookup_micros\": {},\n",
                 "  \"compile_micros\": {},\n",
-                "  \"requests\": {},\n",
-                "  \"busy_shed\": {},\n",
-                "  \"deadline_hits\": {},\n",
-                "  \"handler_panics\": {},\n",
-                "  \"quarantined_modules\": {},\n",
-                "  \"quarantined_rejects\": {},\n",
-                "  \"frame_defects\": {},\n",
-                "  \"accept_errors\": {},\n",
-                "  \"conn_errors\": {},\n",
                 "  \"store_errors\": {},\n",
                 "  \"rung_counts\": {{\n{}\n  }}\n",
                 "}}\n"
@@ -135,15 +103,6 @@ impl CacheStats {
             self.work_saved,
             self.lookup_micros,
             self.compile_micros,
-            self.requests,
-            self.busy_shed,
-            self.deadline_hits,
-            self.handler_panics,
-            self.quarantined_modules,
-            self.quarantined_rejects,
-            self.frame_defects,
-            self.accept_errors,
-            self.conn_errors,
             self.store_errors,
             rungs,
         )
@@ -171,16 +130,12 @@ mod tests {
         s.compile_misses = 2;
         s.count_rung(Rung::Full);
         s.count_rung(Rung::DroppedPass);
-        s.busy_shed = 3;
-        s.handler_panics = 1;
-        s.quarantined_modules = 1;
+        s.store_errors = 3;
         let j = s.to_json();
         uu_check::json::validate(&j).expect("stats JSON must parse");
-        assert!(j.contains("\"stats_version\": 2"));
+        assert!(j.contains("\"stats_version\": 3"));
         assert!(j.contains("\"dropped-pass\": 1"));
         assert!(j.contains("\"hit_rate\": 0.0000"));
-        assert!(j.contains("\"busy_shed\": 3"));
-        assert!(j.contains("\"handler_panics\": 1"));
-        assert!(j.contains("\"quarantined_modules\": 1"));
+        assert!(j.contains("\"store_errors\": 3"));
     }
 }

@@ -87,6 +87,8 @@ fn main() {
             loop_id: 0,
         },
         None,
+        None,
+        None,
     )
     .unwrap();
     assert_eq!(uu.checksum, base.checksum, "semantics preserved");

@@ -35,6 +35,8 @@ fn main() {
                 loop_id: 0,
             },
             None,
+            None,
+            None,
         )
         .unwrap();
         assert_eq!(m.checksum, base.checksum);
@@ -58,6 +60,8 @@ fn main() {
                 ..Default::default()
             }),
             LoopFilter::All,
+            None,
+            None,
             None,
         )
         .unwrap();

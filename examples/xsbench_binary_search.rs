@@ -104,6 +104,8 @@ fn main() {
                 loop_id: 0,
             },
             None,
+            None,
+            None,
         )
         .unwrap();
         assert_eq!(m.checksum, base.checksum, "semantics preserved");

@@ -38,7 +38,7 @@ fn all_benchmarks_all_configs_preserve_checksums() {
                 Transform::UuHeuristic(HeuristicOptions::default()),
             ),
         ] {
-            let m = measure(&b, t, LoopFilter::All, None)
+            let m = measure(&b, t, LoopFilter::All, None, None, None)
                 .unwrap_or_else(|e| panic!("{}/{name}: {e}", b.info.name));
             assert_eq!(
                 m.checksum, base.checksum,

@@ -24,7 +24,7 @@ fn uu(factor: u32) -> Transform {
 fn on_hot(b: &Benchmark, t: Transform) -> Measurement {
     let hot = b.info.hot_kernels[0].to_string();
     
-    measure(b, t, LoopFilter::Only { func: hot, loop_id: 0 }, None).unwrap()
+    measure(b, t, LoopFilter::Only { func: hot, loop_id: 0 }, None, None, None).unwrap()
 }
 
 /// §I / §IV RQ1: u&u speeds up the XSBench binary search despite replacing
